@@ -42,6 +42,16 @@ if [ ! -x "$BUILD_DIR/bench/micro_engine" ]; then
   exit 1
 fi
 
+# The registered JSON benches: each one must run to completion and write
+# its JSON, or the script fails rather than merging a file with rows
+# silently missing. (set -e stops the script on a bench's non-zero exit.)
+for b in micro_ff svc_throughput sweep_throughput; do
+  if [ ! -x "$BUILD_DIR/bench/$b" ]; then
+    echo "error: $BUILD_DIR/bench/$b not built" >&2
+    exit 1
+  fi
+done
+
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 
@@ -49,11 +59,9 @@ trap 'rm -rf "$TMP"' EXIT
   --benchmark_format=json \
   --benchmark_min_time="${MIN_TIME}" > "$TMP/micro_engine.json"
 
-if [ -x "$BUILD_DIR/bench/micro_ff" ]; then
-  "$BUILD_DIR/bench/micro_ff" \
-    --benchmark_format=json \
-    --benchmark_min_time="${MIN_TIME}" > "$TMP/micro_ff.json"
-fi
+"$BUILD_DIR/bench/micro_ff" \
+  --benchmark_format=json \
+  --benchmark_min_time="${MIN_TIME}" > "$TMP/micro_ff.json"
 
 # stream_latency is a bespoke harness (not google-benchmark); keep its raw
 # stdout alongside the merged metrics so latency percentiles stay visible.
@@ -65,20 +73,16 @@ fi
 
 # svc_throughput is also bespoke but emits google-benchmark-shaped JSON
 # (--json), so it merges through the same loop as the microbenchmarks.
-if [ -x "$BUILD_DIR/bench/svc_throughput" ]; then
-  "$BUILD_DIR/bench/svc_throughput" --json --chaos \
-    --trajectories "${SVC_TRAJECTORIES:-16}" \
-    --t-end "${SVC_T_END:-20}" > "$TMP/svc_throughput.json" || true
-fi
+"$BUILD_DIR/bench/svc_throughput" --json --chaos \
+  --trajectories "${SVC_TRAJECTORIES:-16}" \
+  --t-end "${SVC_T_END:-20}" > "$TMP/svc_throughput.json"
 
 # sweep_throughput (M cells x N trajectories campaigns, farm vs batched,
 # overlay-vs-recompile setup cost) emits the same JSON shape.
-if [ -x "$BUILD_DIR/bench/sweep_throughput" ]; then
-  "$BUILD_DIR/bench/sweep_throughput" --json \
-    --cells "${SWEEP_CELLS:-8}" \
-    --trajectories "${SWEEP_TRAJECTORIES:-8}" \
-    --t-end "${SWEEP_T_END:-10}" > "$TMP/sweep_throughput.json" || true
-fi
+"$BUILD_DIR/bench/sweep_throughput" --json \
+  --cells "${SWEEP_CELLS:-8}" \
+  --trajectories "${SWEEP_TRAJECTORIES:-8}" \
+  --t-end "${SWEEP_T_END:-10}" > "$TMP/sweep_throughput.json"
 
 python3 - "$TMP" "$MIN_TIME" "$OUT" "$BUILD_DIR" <<'PY'
 import json
@@ -92,8 +96,8 @@ results = []
 for name in ("micro_engine.json", "micro_ff.json", "svc_throughput.json",
              "sweep_throughput.json"):
     path = tmp / name
-    if not path.exists():
-        continue
+    if not path.exists() or path.stat().st_size == 0:
+        sys.exit(f"error: registered bench output {name} is missing or empty")
     doc = json.loads(path.read_text())
     for b in doc.get("benchmarks", []):
         if b.get("run_type") == "aggregate":

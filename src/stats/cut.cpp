@@ -51,33 +51,52 @@ std::vector<trajectory_window> sliding_window_builder::push(trajectory_cut cut) 
   buffer_.push_back(std::move(cut));
 
   std::vector<trajectory_window> out;
-  while (!buffer_.empty() && buffer_.back().sample_index + 1 >= next_start_ + size_ &&
-         buffer_.front().sample_index <= next_start_) {
+  while (head_ < buffer_.size() &&
+         buffer_.back().sample_index + 1 >= next_start_ + size_ &&
+         buffer_[head_].sample_index <= next_start_) {
     trajectory_window w;
     w.first_sample = next_start_;
-    for (const auto& c : buffer_) {
-      if (c.sample_index >= next_start_ && c.sample_index < next_start_ + size_)
+    w.cuts.reserve(size_);
+    // Cuts before the next window's start are dropped right after this
+    // window, so they move into it; the rest are shared and copied.
+    const std::uint64_t next = next_start_ + slide_;
+    for (std::size_t i = head_; i < buffer_.size(); ++i) {
+      trajectory_cut& c = buffer_[i];
+      if (c.sample_index < next_start_ || c.sample_index >= next_start_ + size_)
+        continue;
+      if (c.sample_index < next)
+        w.cuts.push_back(std::move(c));
+      else
         w.cuts.push_back(c);
     }
     if (w.cuts.size() == size_) out.push_back(std::move(w));
-    next_start_ += slide_;
+    next_start_ = next;
     // Drop cuts no future window will need.
-    while (!buffer_.empty() && buffer_.front().sample_index < next_start_)
-      buffer_.erase(buffer_.begin());
+    while (head_ < buffer_.size() && buffer_[head_].sample_index < next_start_)
+      ++head_;
+  }
+  // Reclaim dropped slots once they are at least half the buffer, so each
+  // cut is moved O(1) times on average.
+  if (2 * head_ >= buffer_.size()) {
+    buffer_.erase(buffer_.begin(),
+                  buffer_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
   }
   return out;
 }
 
 std::vector<trajectory_window> sliding_window_builder::flush() {
   std::vector<trajectory_window> out;
-  if (!buffer_.empty()) {
+  if (head_ < buffer_.size()) {
     trajectory_window w;
     w.first_sample = next_start_;
-    for (auto& c : buffer_)
-      if (c.sample_index >= next_start_) w.cuts.push_back(std::move(c));
+    for (std::size_t i = head_; i < buffer_.size(); ++i)
+      if (buffer_[i].sample_index >= next_start_)
+        w.cuts.push_back(std::move(buffer_[i]));
     if (!w.cuts.empty()) out.push_back(std::move(w));
-    buffer_.clear();
   }
+  buffer_ = std::vector<trajectory_cut>();
+  head_ = 0;
   return out;
 }
 

@@ -45,6 +45,9 @@ struct trajectory_window {
 /// Groups an ordered stream of cuts into overlapping windows of `size`
 /// cuts, advancing by `slide` cuts. push() returns a completed window when
 /// one becomes full. flush() returns the final partial window, if any.
+/// A cut that no later window needs is moved into its last window; only
+/// cuts shared with a later window (slide < size) are copied. flush()
+/// frees the buffer.
 class sliding_window_builder {
  public:
   sliding_window_builder(std::size_t size, std::size_t slide);
@@ -60,7 +63,8 @@ class sliding_window_builder {
  private:
   std::size_t size_;
   std::size_t slide_;
-  std::vector<trajectory_cut> buffer_;
+  std::vector<trajectory_cut> buffer_;  // live cuts: buffer_[head_..]
+  std::size_t head_ = 0;
   std::uint64_t next_start_ = 0;   // first sample index of the next window
   std::uint64_t last_index_ = 0;   // most recent sample index seen
   bool saw_any_ = false;

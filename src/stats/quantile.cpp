@@ -88,4 +88,15 @@ double p2_quantile::value() const noexcept {
   return heights_[2];
 }
 
+double rank_quantile(std::vector<double>& xs, double q) {
+  util::expects(!xs.empty(), "quantile of an empty sample");
+  util::expects(q >= 0.0 && q <= 1.0, "quantile must be in [0,1]");
+  const auto rank = std::min(
+      xs.size() - 1,
+      static_cast<std::size_t>(q * static_cast<double>(xs.size())));
+  const auto nth = xs.begin() + static_cast<std::ptrdiff_t>(rank);
+  std::nth_element(xs.begin(), nth, xs.end());
+  return *nth;
+}
+
 }  // namespace stats

@@ -1,11 +1,13 @@
 // P² streaming quantile estimator (Jain & Chlamtac, CACM 1985): tracks one
 // quantile in O(1) memory without storing observations — suitable for
 // on-line trajectory filtering where retaining raw data would "turn into
-// big data" (paper §abstract).
+// big data" (paper §abstract). Where the whole sample is at hand anyway (a
+// cut's N values), rank_quantile gives the exact order statistic instead.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <vector>
 
 namespace stats {
 
@@ -32,5 +34,11 @@ class p2_quantile {
   std::array<double, 5> desired_{};    // desired marker positions
   std::array<double, 5> increment_{};  // desired position increments
 };
+
+/// Exact rank quantile: the element of rank floor(q * n), clamped to n - 1,
+/// of the n = xs.size() values (xs is reordered in place by
+/// std::nth_element). At q = 0.5 this is the element summarize_cut reports
+/// as the median. Requires a non-empty xs and q in [0, 1].
+double rank_quantile(std::vector<double>& xs, double q);
 
 }  // namespace stats

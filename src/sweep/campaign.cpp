@@ -1,6 +1,7 @@
 #include "sweep/campaign.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <memory>
 #include <utility>
 #include <variant>
@@ -35,7 +36,8 @@ std::vector<std::string> observable_names(const cwc::compiled_model& cm) {
 /// completed cut folded — in trajectory-id order — into the cell's report
 /// entry at window boundaries. With window_slide < window_size a cut is
 /// delivered by several windows; next_fold_ keeps each sample point folded
-/// exactly once.
+/// exactly once. A reducer touches only its own cell's state, so the
+/// gather runs the cells' reducers concurrently.
 class cell_reducer {
  public:
   cell_reducer(const sim_config& cfg, std::size_t num_observables,
@@ -72,16 +74,14 @@ class cell_reducer {
       p.observables.resize(num_observables_);
       for (std::size_t d = 0; d < num_observables_; ++d) {
         sweep::observable_summary& os = p.observables[d];
-        stats::p2_quantile q10(0.1), q50(0.5), q90(0.9);
+        scratch_.clear();
         for (const std::vector<double>& row : cut.values) {
           os.moments.add(row[d]);
-          q10.add(row[d]);
-          q50.add(row[d]);
-          q90.add(row[d]);
+          scratch_.push_back(row[d]);
         }
-        os.q10 = q10.value();
-        os.q50 = q50.value();
-        os.q90 = q90.value();
+        os.q10 = stats::rank_quantile(scratch_, 0.1);
+        os.q50 = stats::rank_quantile(scratch_, 0.5);
+        os.q90 = stats::rank_quantile(scratch_, 0.9);
       }
       if (cfg_->kmeans_k > 0)
         p.clusters = stats::kmeans(cut.values, cfg_->kmeans_k, cfg_->seed);
@@ -95,7 +95,35 @@ class cell_reducer {
   cut_assembler assembler_;
   stats::sliding_window_builder builder_;
   std::uint64_t next_fold_ = 0;
+  std::vector<double> scratch_;  // one observable's column of a cut
 };
+
+/// The per-round gather shared by both drivers, FastFlow's
+/// ParallelForReduce idiom: cell c's reducer ingests the samples of its
+/// lanes — global lanes [c*N, (c+1)*N) of the cell-major lane list, in lane
+/// order — as one task on the worker pool. Each cell sees exactly the
+/// serial stream, so the reductions do not depend on the worker count;
+/// lane retirement and the session events stay on the calling thread.
+/// `samples(g)` yields global lane g's samples of this round and must be
+/// empty for a lane retired in an earlier round.
+template <typename Samples>
+void gather(ff::parallel_for& pool, std::vector<cell_reducer>& reducers,
+            std::uint64_t n, const Samples& samples) {
+  std::vector<std::exception_ptr> errors(reducers.size());
+  pool.for_each(0, static_cast<std::int64_t>(reducers.size()), 1,
+                [&](std::int64_t ci) {
+                  const auto c = static_cast<std::size_t>(ci);
+                  try {
+                    for (std::uint64_t i = 0; i < n; ++i)
+                      for (const cwc::trajectory_sample& s : samples(c * n + i))
+                        reducers[c].ingest(i, s);
+                  } catch (...) {
+                    errors[c] = std::current_exception();
+                  }
+                });
+  for (const std::exception_ptr& e : errors)
+    if (e) std::rethrow_exception(e);
+}
 
 /// The builder's sink: forwards to an optional caller-owned sink and fires
 /// the per-cell callbacks on top.
@@ -179,9 +207,18 @@ class campaign_state {
   std::vector<std::uint64_t> done_in_cell_;
 };
 
+/// The pool's width: the configured workers, but no more than the larger
+/// of the stepping tasks and the gather's per-cell tasks.
+unsigned pool_width(const sim_config& cfg, std::size_t step_tasks,
+                    std::size_t cells) {
+  return std::max<unsigned>(
+      1, std::min<unsigned>(cfg.sim_workers, static_cast<unsigned>(std::max(
+                                                 step_tasks, cells))));
+}
+
 /// Scalar farm path: one engine per (cell, trajectory) advanced in
 /// quantum-lockstep rounds over the worker pool, with the deterministic
-/// sequential gather between rounds (the batched driver's structure, per
+/// per-cell gather between rounds (the batched driver's structure, per
 /// engine instead of per SoA batch).
 void run_farm(const std::vector<std::shared_ptr<const cwc::compiled_model>>&
                   overlays,
@@ -201,9 +238,8 @@ void run_farm(const std::vector<std::shared_ptr<const cwc::compiled_model>>&
     for (std::uint64_t i = 0; i < cfg.num_trajectories; ++i)
       lanes.push_back({any_engine(overlays[c], cfg.seed, i), c, i, 0, {}, 0});
 
-  ff::parallel_for pool(std::max<unsigned>(
-      1, std::min<unsigned>(cfg.sim_workers,
-                            static_cast<unsigned>(lanes.size()))));
+  ff::parallel_for pool(pool_width(cfg, lanes.size(), overlays.size()));
+  const std::vector<cwc::trajectory_sample> none;
   std::size_t live = lanes.size();
   while (live > 0 && !sink.stop_requested()) {
     pool.for_each(0, static_cast<std::int64_t>(lanes.size()), 0,
@@ -213,17 +249,16 @@ void run_farm(const std::vector<std::shared_ptr<const cwc::compiled_model>>&
                     L.out = advance_one_quantum(L.eng, cfg, L.traj, L.quanta);
                     ++L.quanta;
                   });
-    // Sequential cell-major gather: reductions see the same stream on
-    // every worker count.
+    gather(pool, reducers, cfg.num_trajectories,
+           [&](std::size_t g) -> const std::vector<cwc::trajectory_sample>& {
+             const scalar_lane& L = lanes[g];
+             return L.retired != 0 ? none : L.out.batch.samples;
+           });
     for (scalar_lane& L : lanes) {
-      if (L.retired != 0) continue;
-      for (const cwc::trajectory_sample& s : L.out.batch.samples)
-        reducers[L.cell].ingest(L.traj, s);
-      if (L.out.finished) {
-        L.retired = 1;
-        --live;
-        state.lane_done(L.cell, L.traj, L.out.done.quanta, L.out.done.steps);
-      }
+      if (L.retired != 0 || !L.out.finished) continue;
+      L.retired = 1;
+      --live;
+      state.lane_done(L.cell, L.traj, L.out.done.quanta, L.out.done.steps);
     }
   }
   rep.stopped = live > 0;
@@ -265,9 +300,8 @@ void run_batched(const std::vector<std::shared_ptr<const cwc::compiled_model>>&
     groups.push_back(std::move(g));
   }
 
-  ff::parallel_for pool(std::max<unsigned>(
-      1, std::min<unsigned>(cfg.sim_workers,
-                            static_cast<unsigned>(groups.size()))));
+  ff::parallel_for pool(pool_width(cfg, groups.size(), overlays.size()));
+  const std::vector<cwc::trajectory_sample> none;
   std::size_t live = all.size();
   std::uint64_t rounds = 0;
   while (live > 0 && !sink.stop_requested()) {
@@ -280,11 +314,15 @@ void run_batched(const std::vector<std::shared_ptr<const cwc::compiled_model>>&
                                         cfg.sample_period, g.samples);
                   });
     ++rounds;
+    // Global lane g sits at slot g % batch_width of group g / batch_width.
+    gather(pool, reducers, cfg.num_trajectories,
+           [&](std::size_t g) -> const std::vector<cwc::trajectory_sample>& {
+             const batch_group& bg = groups[g / batch_width];
+             const std::size_t i = g % batch_width;
+             return bg.retired[i] != 0 ? none : bg.samples[i];
+           });
     for (batch_group& g : groups) {
       if (g.live == 0) continue;
-      for (std::size_t i = 0; i < g.samples.size(); ++i)
-        for (const cwc::trajectory_sample& s : g.samples[i])
-          reducers[g.eng->lane_cell(i)].ingest(g.eng->lane_id(i), s);
       for (std::size_t i = 0; i < g.samples.size(); ++i) {
         if (g.retired[i] != 0 || g.eng->time(i) < cfg.t_end) continue;
         g.retired[i] = 1;

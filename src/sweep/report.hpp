@@ -1,7 +1,13 @@
 // The queryable result of a sweep campaign: per-cell ONLINE reductions —
-// mean/variance (Welford), P² quantile estimates, and k-means cluster
+// mean/variance (Welford), exact rank quantiles, and k-means cluster
 // splits per observable per sample point — folded at window boundaries
 // while the campaign streams, never from retained raw trajectories.
+//
+// Quantile rule: q10/q50/q90 are the elements of rank floor(q * N),
+// clamped to N - 1, of the cell's N values at that sample point
+// (stats::rank_quantile), so q50 equals stats::summarize_cut's median.
+// Reports written before this rule (when these were P² estimates) differ
+// from today's in the q10/q50/q90 fields only.
 //
 // Determinism contract: for a fixed (model, plan, sim_config) the report
 // is byte-identical across backends (farm vs batched), batch widths, and
@@ -25,9 +31,9 @@ namespace cwcsim::sweep {
 /// sample point.
 struct observable_summary {
   stats::welford moments;  ///< mean/variance/min/max over the cell
-  double q10 = 0.0;        ///< P² 10th-percentile estimate (exact for N < 5)
-  double q50 = 0.0;        ///< P² median estimate
-  double q90 = 0.0;        ///< P² 90th-percentile estimate
+  double q10 = 0.0;        ///< element of rank floor(0.1 N), clamped to N-1
+  double q50 = 0.0;        ///< element of rank floor(0.5 N): the median
+  double q90 = 0.0;        ///< element of rank floor(0.9 N), clamped to N-1
 };
 
 /// One (cell, sample point): per-observable reductions plus the k-means

@@ -3,7 +3,8 @@
 // counting, not just asserted. Include from exactly ONE translation unit
 // per test binary (each suite is a single .cpp, so a plain #include works).
 //
-// Read the counter via g_allocs.load(std::memory_order_relaxed).
+// Read the counters via g_allocs.load(std::memory_order_relaxed) (the
+// number of allocations) and g_alloc_bytes (the bytes they requested).
 #pragma once
 
 #include <atomic>
@@ -12,6 +13,7 @@
 #include <new>
 
 inline std::atomic<std::uint64_t> g_allocs{0};
+inline std::atomic<std::uint64_t> g_alloc_bytes{0};
 
 // GCC's -Wmismatched-new-delete pairs the malloc inside this replaced
 // operator new with the free inside operator delete at some inline sites
@@ -22,12 +24,14 @@ inline std::atomic<std::uint64_t> g_allocs{0};
 
 void* operator new(std::size_t n) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
 void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
   return std::malloc(n ? n : 1);
 }
 void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {

@@ -242,6 +242,88 @@ INSTANTIATE_TEST_SUITE_P(
                       window_case{4, 4, 18}, window_case{8, 2, 40},
                       window_case{16, 1, 33}, window_case{5, 3, 22}));
 
+/// The copy-based window grouping the builder used to implement: every
+/// window deep-copies its cuts out of the buffer.
+class copying_window_builder {
+ public:
+  copying_window_builder(std::size_t size, std::size_t slide)
+      : size_(size), slide_(slide) {}
+
+  std::vector<stats::trajectory_window> push(stats::trajectory_cut cut) {
+    if (buffer_.empty() && !saw_any_) next_start_ = cut.sample_index;
+    saw_any_ = true;
+    buffer_.push_back(std::move(cut));
+    std::vector<stats::trajectory_window> out;
+    while (!buffer_.empty() &&
+           buffer_.back().sample_index + 1 >= next_start_ + size_ &&
+           buffer_.front().sample_index <= next_start_) {
+      stats::trajectory_window w;
+      w.first_sample = next_start_;
+      for (const auto& c : buffer_)
+        if (c.sample_index >= next_start_ && c.sample_index < next_start_ + size_)
+          w.cuts.push_back(c);
+      if (w.cuts.size() == size_) out.push_back(std::move(w));
+      next_start_ += slide_;
+      while (!buffer_.empty() && buffer_.front().sample_index < next_start_)
+        buffer_.erase(buffer_.begin());
+    }
+    return out;
+  }
+
+  std::vector<stats::trajectory_window> flush() {
+    std::vector<stats::trajectory_window> out;
+    if (!buffer_.empty()) {
+      stats::trajectory_window w;
+      w.first_sample = next_start_;
+      for (auto& c : buffer_)
+        if (c.sample_index >= next_start_) w.cuts.push_back(std::move(c));
+      if (!w.cuts.empty()) out.push_back(std::move(w));
+      buffer_.clear();
+    }
+    return out;
+  }
+
+ private:
+  std::size_t size_;
+  std::size_t slide_;
+  std::vector<stats::trajectory_cut> buffer_;
+  std::uint64_t next_start_ = 0;
+  bool saw_any_ = false;
+};
+
+void expect_same_windows(const std::vector<stats::trajectory_window>& got,
+                         const std::vector<stats::trajectory_window>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].first_sample, want[i].first_sample);
+    ASSERT_EQ(got[i].cuts.size(), want[i].cuts.size());
+    for (std::size_t j = 0; j < got[i].cuts.size(); ++j) {
+      EXPECT_EQ(got[i].cuts[j].sample_index, want[i].cuts[j].sample_index);
+      EXPECT_EQ(got[i].cuts[j].time, want[i].cuts[j].time);
+      EXPECT_EQ(got[i].cuts[j].values, want[i].cuts[j].values);
+    }
+  }
+}
+
+TEST(Window, MatchesCopyingReferenceIncludingFlush) {
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {5, 5}, {5, 2}, {3, 1}, {4, 4}};
+  for (const auto& [size, slide] : shapes) {
+    SCOPED_TRACE(testing::Message() << size << "/" << slide);
+    stats::sliding_window_builder b(size, slide);
+    copying_window_builder ref(size, slide);
+    for (std::uint64_t k = 3; k < 3 + 23; ++k) {
+      stats::trajectory_cut c;
+      c.sample_index = k;
+      c.time = 0.5 * static_cast<double>(k);
+      for (std::uint64_t t = 0; t < 4; ++t)
+        c.values.push_back({static_cast<double>(k * 10 + t), -1.0 * t});
+      expect_same_windows(b.push(c), ref.push(c));
+    }
+    expect_same_windows(b.flush(), ref.flush());
+  }
+}
+
 TEST(Window, RejectsBadShapesAndGaps) {
   EXPECT_THROW(stats::sliding_window_builder(0, 1), util::precondition_error);
   EXPECT_THROW(stats::sliding_window_builder(4, 5), util::precondition_error);

@@ -2,17 +2,19 @@
 // the one-compile-per-campaign guarantee, and the determinism contract —
 // every (cell, trajectory) replays a standalone engine on a FULL RECOMPILE
 // of the patched model at the same seed, bit for bit, on the farm and the
-// batched backend at several widths, and the report reductions are
-// invariant to worker count and scheduling.
+// batched backend at several widths, and the report reductions (exact
+// rank quantiles included) are invariant to worker count and scheduling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <vector>
 
 #include "core/quantum.hpp"
 #include "models/models.hpp"
-#include "stats/quantile.hpp"
+#include "stats/cut.hpp"
 #include "sweep/sweep.hpp"
 
 namespace {
@@ -50,25 +52,20 @@ std::vector<cwc::trajectory_sample> standalone_samples(
   return all;
 }
 
-/// Reference reductions computed independently of the sweep runner: cuts
-/// assembled per sample index from standalone trajectories of `cm`, each
-/// folded in trajectory order with the same Welford/P-squared/k-means
-/// primitives.
-std::vector<cwcsim::sweep::point_summary> reference_points(
+/// Cuts assembled independently of the sweep runner: per sample index,
+/// from standalone trajectories of `cm`, in trajectory order.
+std::vector<stats::trajectory_cut> reference_cuts(
     std::shared_ptr<const cwc::compiled_model> cm,
     const cwcsim::sim_config& cfg) {
   const std::size_t obs = cm->num_observables();
-  struct cut {
-    double time = 0.0;
-    std::vector<std::vector<double>> values;
-  };
-  std::map<std::uint64_t, cut> cuts;
+  std::map<std::uint64_t, stats::trajectory_cut> cuts;
   for (std::uint64_t i = 0; i < cfg.num_trajectories; ++i) {
     for (const auto& s : standalone_samples(cm, cfg, i)) {
       const auto k =
           static_cast<std::uint64_t>(s.time / cfg.sample_period + 0.5);
       auto [it, fresh] = cuts.try_emplace(k);
       if (fresh) {
+        it->second.sample_index = k;
         it->second.time = s.time;
         it->second.values.assign(cfg.num_trajectories,
                                  std::vector<double>(obs, 0.0));
@@ -76,24 +73,44 @@ std::vector<cwcsim::sweep::point_summary> reference_points(
       it->second.values[i] = s.values;
     }
   }
+  std::vector<stats::trajectory_cut> out;
+  for (auto& [k, c] : cuts) out.push_back(std::move(c));
+  return out;
+}
+
+/// Exact rank quantile by a full sort: the element of rank floor(q * n),
+/// clamped to n - 1.
+double sorted_rank_quantile(std::vector<double> xs, double q) {
+  std::sort(xs.begin(), xs.end());
+  const auto rank = std::min(
+      xs.size() - 1,
+      static_cast<std::size_t>(std::floor(q * static_cast<double>(xs.size()))));
+  return xs[rank];
+}
+
+/// Reference reductions computed independently of the sweep runner: each
+/// reference cut folded in trajectory order with the Welford and k-means
+/// primitives, and quantiles taken from a fully sorted column.
+std::vector<cwcsim::sweep::point_summary> reference_points(
+    std::shared_ptr<const cwc::compiled_model> cm,
+    const cwcsim::sim_config& cfg) {
+  const std::size_t obs = cm->num_observables();
   std::vector<cwcsim::sweep::point_summary> points;
-  for (const auto& [k, c] : cuts) {
+  for (const stats::trajectory_cut& c : reference_cuts(cm, cfg)) {
     cwcsim::sweep::point_summary p;
-    p.sample_index = k;
+    p.sample_index = c.sample_index;
     p.time = c.time;
     p.observables.resize(obs);
     for (std::size_t d = 0; d < obs; ++d) {
       auto& os = p.observables[d];
-      stats::p2_quantile q10(0.1), q50(0.5), q90(0.9);
+      std::vector<double> column;
       for (const auto& row : c.values) {
         os.moments.add(row[d]);
-        q10.add(row[d]);
-        q50.add(row[d]);
-        q90.add(row[d]);
+        column.push_back(row[d]);
       }
-      os.q10 = q10.value();
-      os.q50 = q50.value();
-      os.q90 = q90.value();
+      os.q10 = sorted_rank_quantile(column, 0.1);
+      os.q50 = sorted_rank_quantile(column, 0.5);
+      os.q90 = sorted_rank_quantile(column, 0.9);
     }
     p.clusters = stats::kmeans(c.values, cfg.kmeans_k, cfg.seed);
     points.push_back(std::move(p));
@@ -292,8 +309,45 @@ TEST(SweepCampaign, TreeBackendsAndWidthsMatchRecompiledStandalone) {
       expect_points_equal(rep.cells[c].points, reference_points(cm, cfg));
     }
   }
-  // Byte-identical reports across every backend/width.
+  // The farm path (width 1) gathers cells on its worker pool too: the
+  // report must not depend on how many workers ran the gather.
+  for (const unsigned workers : {1u, 4u}) {
+    SCOPED_TRACE(workers);
+    auto wcfg = cfg;
+    wcfg.sim_workers = workers;
+    jsons.push_back(
+        cwcsim::run_sweep(m, wcfg, plan, cwcsim::multicore{1}).to_json());
+  }
+  // Byte-identical reports across every backend/width/worker count.
   for (std::size_t i = 1; i < jsons.size(); ++i) EXPECT_EQ(jsons[0], jsons[i]);
+}
+
+TEST(SweepCampaign, MedianEqualsSummarizeCutMedian) {
+  const auto m = models::make_compartment_demo({});
+  auto cfg = small_config();
+  cfg.num_trajectories = 6;  // even N: the median is the upper middle value
+  const auto plan = cwcsim::sweep::plan().axis("grow", {0.6, 1.4});
+  const auto rep = cwcsim::run_sweep(m, cfg, plan, cwcsim::multicore{4});
+  ASSERT_EQ(rep.cells.size(), 2u);
+
+  const double grows[] = {0.6, 1.4};
+  for (std::size_t c = 0; c < 2; ++c) {
+    SCOPED_TRACE(c);
+    models::compartment_demo_params p;
+    p.k_grow = grows[c];
+    const auto cm =
+        cwc::compiled_model::compile(models::make_compartment_demo(p));
+    const auto cuts = reference_cuts(cm, cfg);
+    ASSERT_EQ(rep.cells[c].points.size(), cuts.size());
+    for (std::size_t i = 0; i < cuts.size(); ++i) {
+      SCOPED_TRACE(i);
+      const stats::cut_summary want = stats::summarize_cut(cuts[i], 0);
+      const auto& got = rep.cells[c].points[i].observables;
+      ASSERT_EQ(got.size(), want.medians.size());
+      for (std::size_t d = 0; d < got.size(); ++d)
+        EXPECT_EQ(got[d].q50, want.medians[d]);
+    }
+  }
 }
 
 TEST(SweepCampaign, ReportInvariantToWorkerCount) {
